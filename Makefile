@@ -4,11 +4,15 @@
 #   make test           plain test run (tier-1 verify)
 #   make test-faults    fault-injection and supervision suite, race-enabled
 #                       and repeated to shake out nondeterminism
+#   make test-recv      send/receive ordering property suites (striped
+#                       registries, the ordered codec and decode stages),
+#                       race-enabled and repeated
+#   make test-qos       QoS / queue-policy suite, race-enabled and repeated
 #   make lint           kmlint static analyzer suite (with -audit-ignores)
-#   make bench-hotpath  rerun the wire hot-path benchmarks and refresh the
-#                       "current" section of BENCH_hotpath.json
-#   make bench-udt      rerun the UDT data-path benchmarks and refresh the
-#                       "current" section of BENCH_udt.json
+#                       over the root module and the nested stackbench one
+#   make bench-NAME     rerun one benchmark family and refresh the
+#                       "current" section of BENCH_NAME.json, for NAME in
+#                       hotpath, udt, shard, fanin, qos
 #   make sim-campaign   run the large-scale netsim campaign on both event
 #                       cores and refresh BENCH_sim.json
 #   make soak           run the kmsoak chaos harness over real loopback
@@ -17,28 +21,23 @@
 
 GO ?= go
 
-HOTPATH_PKGS = ./internal/core/ ./internal/transport/
-HOTPATH_OUT  = BENCH_hotpath.out
-UDT_OUT      = BENCH_udt.out
-SHARD_PKGS   = ./internal/transport/ ./internal/core/
-SHARD_OUT    = BENCH_shard.out
-FANIN_PKGS   = ./internal/transport/ ./internal/core/
-FANIN_OUT    = BENCH_fanin.out
-
 FAULT_PKGS = ./internal/faults/ ./internal/transport/ ./internal/core/ ./internal/udt/
 FAULT_RUN  = 'Fault|Supervis|Fallback|Overflow|PeerDeath|Revival|Stall|Blackhole|Backoff|Status|StopThenRestart'
 
 RECV_PKGS = ./internal/transport/ ./internal/core/ ./internal/vnet/
-RECV_RUN  = 'RecvOrder|DecodeStage|VNodeFanin'
+RECV_RUN  = 'RecvOrder|DecodeStage|VNodeFanin|CodecStage|SendOrder|VNodeOrder|OrderedStage'
 
 QOS_PKGS = ./internal/transport/ ./internal/core/ ./internal/data/
 QOS_RUN  = 'QoS'
-QOS_OUT  = BENCH_qos.out
+
+# kmlint names the nested stackbench module next to the root one: ./...
+# stops at its go.mod.
+LINT_PKGS = ./... ./stackbench/
 
 .PHONY: check test test-faults test-recv test-qos build vet lint bench bench-hotpath bench-udt bench-shard bench-fanin bench-qos sim-campaign soak soak-smoke
 
 check:
-	$(GO) vet ./... && $(GO) run ./cmd/kmlint -audit-ignores ./... && $(GO) build ./... && $(GO) test -race ./...
+	$(GO) vet ./... && $(GO) run ./cmd/kmlint -audit-ignores $(LINT_PKGS) && $(GO) build ./... && $(GO) test -race ./...
 
 test:
 	$(GO) build ./... && $(GO) test ./...
@@ -56,36 +55,40 @@ vet:
 # //kmlint:ignore directive that no longer suppresses anything fails the
 # run with its audited reason printed.
 lint:
-	$(GO) run ./cmd/kmlint -audit-ignores ./...
+	$(GO) run ./cmd/kmlint -audit-ignores $(LINT_PKGS)
 
-bench-hotpath:
-	$(GO) test -bench WirePath -run '^$$' -benchmem $(HOTPATH_PKGS) | tee $(HOTPATH_OUT)
-	$(GO) run ./cmd/benchjson -label current -out BENCH_hotpath.json < $(HOTPATH_OUT)
-	@rm -f $(HOTPATH_OUT)
+# bench-NAME runs `go test -bench BENCH_NAME_RUN` over BENCH_NAME_PKGS
+# and refreshes the "current" section of BENCH_NAME.json; each file's
+# frozen "baseline" section holds the numbers from before its change:
+#
+#   hotpath  wire hot path before pooled buffers and write coalescing
+#   udt      UDT data path before ring windows and batched syscalls
+#   shard    fan-out scaling (BenchmarkFanoutSend / FanoutSendNetwork)
+#            before sharding
+#   fanin    fan-in scaling (BenchmarkFaninReceive / FaninReceiveNetwork)
+#            before the striped inbound registry and the decode stage
+#   qos      saturated-channel push cost per queue policy; steady-state
+#            drops must be alloc-free
+#
+# The fan-out and fan-in benchmarks sweep GOMAXPROCS 1/4/NumCPU themselves.
+BENCH_hotpath_RUN  = WirePath
+BENCH_hotpath_PKGS = ./internal/core/ ./internal/transport/
+BENCH_udt_RUN      = UDT
+BENCH_udt_PKGS     = .
+BENCH_udt_FLAGS    = -benchtime 2s
+BENCH_shard_RUN    = FanoutSend
+BENCH_shard_PKGS   = ./internal/transport/ ./internal/core/
+BENCH_fanin_RUN    = FaninReceive
+BENCH_fanin_PKGS   = ./internal/transport/ ./internal/core/
+BENCH_qos_RUN      = QueuePolicy
+BENCH_qos_PKGS     = ./internal/transport/
 
-bench-udt:
-	$(GO) test -bench UDT -run '^$$' -benchmem -benchtime 2s . | tee $(UDT_OUT)
-	$(GO) run ./cmd/benchjson -label current -out BENCH_udt.json < $(UDT_OUT)
-	@rm -f $(UDT_OUT)
+BENCH_TARGETS = bench-hotpath bench-udt bench-shard bench-fanin bench-qos
 
-# bench-shard reruns the fan-out scaling benchmarks (BenchmarkFanoutSend /
-# BenchmarkFanoutSendNetwork) and refreshes the "current" section of
-# BENCH_shard.json; the frozen "baseline" section holds the pre-sharding
-# numbers. The benchmarks sweep GOMAXPROCS 1/4/NumCPU themselves.
-bench-shard:
-	$(GO) test -bench FanoutSend -run '^$$' -benchmem $(SHARD_PKGS) | tee $(SHARD_OUT)
-	$(GO) run ./cmd/benchjson -label current -out BENCH_shard.json < $(SHARD_OUT)
-	@rm -f $(SHARD_OUT)
-
-# bench-fanin reruns the fan-in scaling benchmarks (BenchmarkFaninReceive /
-# BenchmarkFaninReceiveNetwork) and refreshes the "current" section of
-# BENCH_fanin.json; the frozen "baseline" section holds the numbers from
-# before the striped inbound registry + parallel decode stage. The
-# benchmarks sweep GOMAXPROCS 1/4/NumCPU themselves.
-bench-fanin:
-	$(GO) test -bench FaninReceive -run '^$$' -benchmem $(FANIN_PKGS) | tee $(FANIN_OUT)
-	$(GO) run ./cmd/benchjson -label current -out BENCH_fanin.json < $(FANIN_OUT)
-	@rm -f $(FANIN_OUT)
+$(BENCH_TARGETS): bench-%:
+	$(GO) test -bench $(BENCH_$*_RUN) -run '^$$' -benchmem $(BENCH_$*_FLAGS) $(BENCH_$*_PKGS) | tee BENCH_$*.out
+	$(GO) run ./cmd/benchjson -label current -out BENCH_$*.json < BENCH_$*.out
+	@rm -f BENCH_$*.out
 
 # sim-campaign runs the scaled netsim campaign on both event cores and
 # refreshes BENCH_sim.json: the binary-heap core lands in the "baseline"
@@ -157,14 +160,6 @@ test-recv:
 # reconnect drain, drop-rate reward) race-enabled and repeated.
 test-qos:
 	$(GO) test -race -count=3 -run $(QOS_RUN) $(QOS_PKGS)
-
-# bench-qos reruns the queue-policy overload benchmarks (saturated-channel
-# push cost per policy; steady-state drops must be alloc-free) and
-# refreshes the "current" section of BENCH_qos.json.
-bench-qos:
-	$(GO) test -bench QueuePolicy -run '^$$' -benchmem ./internal/transport/ | tee $(QOS_OUT)
-	$(GO) run ./cmd/benchjson -label current -out BENCH_qos.json < $(QOS_OUT)
-	@rm -f $(QOS_OUT)
 
 bench:
 	$(GO) test -bench . -benchmem

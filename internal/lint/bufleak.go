@@ -22,10 +22,11 @@ import (
 // BENCH_hotpath.json depends on buffers cycling. The classic bug this
 // catches is an early error return between Get and Put.
 //
-// The analysis is per-function and syntactic over the statement tree:
-// loops are assumed to run at least once, a release anywhere in a branch
-// construct counts for the paths that reach it, and passing the buffer to
-// an ordinary function is a borrow, not a transfer. Ownership decided by
+// The path analysis is per-function and syntactic over the statement
+// tree: loops are assumed to run at least once, a release anywhere in a
+// branch construct counts for the paths that reach it, and passing the
+// buffer to a function whose inferred summary (facts.go) does not consume
+// that parameter is a borrow, not a transfer. Ownership decided by
 // pointer aliasing (e.g. "the callee's return value shares dst's backing
 // array") is invisible here; such audited cases carry a
 // //kmlint:ignore bufleak annotation.
@@ -37,17 +38,16 @@ var BufLeak = &Analyzer{
 
 const bufpoolPkg = "internal/bufpool"
 
-// Transfer sinks are inferred, not listed. Until PR 7 this file carried a
-// hand-maintained name table (OnMessage/deliver/submit/storeOwned/release)
-// of call targets that take ownership of a buffer argument; the facts
-// layer (facts.go) now derives the same property from the callee's own
-// body — a parameter is a transfer sink when its value provably reaches
-// bufpool.Put, a store, a channel, or another inferred sink — and exports
-// it across packages, so Endpoint.deliver, decodeStage.submit,
-// pktRing.storeOwned, outMsg.release and Endpoint.Send all classify
-// themselves. The one name that survives is OnMessage: transport.Config's
-// function-field callback whose handoff is documented API, with no body
-// behind the field for inference to read.
+// Transfer sinks are inferred, not listed: the facts layer (facts.go)
+// derives from the callee's own body that a parameter is a transfer sink
+// — its value provably reaches bufpool.Put, a store, a channel, or another
+// inferred sink — and exports it across packages, so Endpoint.deliver,
+// Endpoint.Send, pktRing.storeOwned and outMsg.release classify
+// themselves, and so does decodeStage.submit, whose payload reaches the
+// ordered stage's lane store through the generic submit (resolved through
+// its origin declaration). The one name that survives is OnMessage:
+// transport.Config's function-field callback whose handoff is documented
+// API, with no body behind the field for inference to read.
 
 func runBufLeak(pass *Pass) {
 	for _, file := range pass.Files {

@@ -137,7 +137,7 @@ func (f *Facts) Summary(fn *types.Func) *FuncFact {
 }
 
 // lookup resolves fn to its record. Instantiated generic methods
-// (WorkPool[*codecJob].worker at a call site) resolve through Origin to
+// (WorkPool[*stageJob[J]].worker at a call site) resolve through Origin to
 // the generic declaration the record was built from.
 func (f *Facts) lookup(fn *types.Func) *funcRec {
 	if f == nil || fn == nil {

@@ -7,9 +7,10 @@ import (
 )
 
 // Lock-fact extraction: the per-function walk that feeds the lockorder
-// analyzer. It mirrors locksend's linear held-set scan but tracks mutex
-// *classes* (declaration identity, not instance spelling), records an
-// edge whenever a class is acquired while another is held, follows calls
+// analyzer. It mirrors the linear held-set walker locksend and shardlock
+// share (heldscan.go) but tracks mutex *classes* (declaration identity,
+// not instance spelling), records an edge whenever a class is acquired
+// while another is held, follows calls
 // through the facts store (a callee's Acquires induce edges under the
 // caller's held set; its HeldAtExit extends the caller's held set — that
 // is how LockB()/UnlockB() helper pairs and cross-package cycles become
@@ -503,7 +504,7 @@ func copyHeldSrc(held map[MutexClass]heldSrc) map[MutexClass]heldSrc {
 	return out
 }
 
-// reconcileHeldSrc merges arm states optimistically, like locksend's
+// reconcileHeldSrc merges arm states optimistically, like heldscan's
 // reconcile: a class stays (or becomes) held only when every live arm
 // holds it. A deferred-unlock mark in any arm survives the merge so the
 // class stays out of HeldAtExit.

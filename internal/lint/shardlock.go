@@ -2,7 +2,6 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 )
@@ -11,9 +10,10 @@ import (
 // "Sharded send path"): in a struct whose sync.Mutex/RWMutex field is
 // marked with a //kmlint:guarded comment, every map, slice, or channel
 // field declared after the mutex is guarded by it — the convention the
-// transport's sendShard, the codec stage's peerLane, and the endpoint's
+// transport's sendShard, the ordered stage's stageLane, and the endpoint's
 // inbound table all declare. Any read or write of a guarded field in code
-// where that receiver's mutex is not held is flagged.
+// where that receiver's mutex is not held is flagged, in every
+// instantiation of a generic struct too.
 //
 // The marker is opt-in on purpose: mutex-then-container is also the shape
 // of structs protected by other disciplines (Kompics components are
@@ -22,14 +22,13 @@ import (
 // is exactly what the marked structs document and the unmarked ones
 // don't.
 //
-// Held tracking mirrors locksend's linear scan, with one deliberate
-// difference: `mu.Lock(); defer mu.Unlock()` keeps the mutex held to the
-// end of the function (for locksend the deferred unlock ends the hazard;
-// here it is precisely what makes the accesses safe). Two escapes exist:
-// functions whose name ends in "Locked" assert the documented caller-
-// holds-the-lock convention and are skipped, and constructor-local values
-// (composite literals not yet shared) can use //kmlint:ignore like any
-// other finding.
+// Held tracking is the walker locksend also runs (heldscan.go), except
+// that `defer mu.Unlock()` keeps the mutex held to the end of the
+// function: here it is precisely what makes the accesses safe. Two
+// escapes exist: functions whose name ends in "Locked" assert the
+// documented caller-holds-the-lock convention and are skipped, and
+// constructor-local values (composite literals not yet shared) can be
+// suppressed with //kmlint:ignore like any other finding.
 var ShardLock = &Analyzer{
 	Name: "shardlock",
 	Doc:  "map/slice/chan struct fields declared after a mutex are accessed only with that mutex held",
@@ -41,36 +40,9 @@ func runShardLock(pass *Pass) {
 	if len(guarded) == 0 {
 		return
 	}
-	for _, file := range pass.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			var body *ast.BlockStmt
-			var name string
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				body, name = fn.Body, fn.Name.Name
-			case *ast.FuncLit:
-				body = fn.Body
-			default:
-				return true
-			}
-			if body == nil {
-				return true
-			}
-			if hasSuffixLocked(name) {
-				// "...Locked" functions assert the documented caller-
-				// holds-the-lock convention; skip them (and their
-				// literals) — the caller's own scan covers the call site.
-				return false
-			}
-			ss := &shardScan{pass: pass, guarded: guarded}
-			ss.scanList(body.List, map[string]bool{})
-			return true // nested literals get their own scan
-		})
-	}
-}
-
-func hasSuffixLocked(name string) bool {
-	return len(name) >= 6 && name[len(name)-6:] == "Locked"
+	ss := &shardScan{pass: pass, guarded: guarded}
+	hs := &heldScan{pass: pass, visit: ss.checkSelector, deferKeepsHeld: true, skipLocked: true}
+	hs.run()
 }
 
 // guardedFields maps each guarded field object to the name of the mutex
@@ -150,218 +122,28 @@ func isContainer(t types.Type) bool {
 	return false
 }
 
-// shardScan walks one function's statements tracking held mutexes (printed
-// receiver form, as in locksend) and flags guarded-field accesses outside
-// their mutex's critical section.
+// shardScan holds shardlock's check, run by the shared held-mutex walker
+// (heldscan.go).
 type shardScan struct {
 	pass    *Pass
 	guarded map[*types.Var]string
 }
 
-func (ss *shardScan) scanList(list []ast.Stmt, held map[string]bool) bool {
-	for _, s := range list {
-		if ss.scanStmt(s, held) {
-			return true
-		}
-	}
-	return false
-}
-
-func (ss *shardScan) scanStmt(s ast.Stmt, held map[string]bool) (terminated bool) {
-	switch t := s.(type) {
-	case *ast.ExprStmt:
-		if mu, isLock, _ := lockCall(ss.pass, t.X); mu != "" {
-			if isLock {
-				held[mu] = true
-			} else {
-				delete(held, mu)
-			}
-			return false
-		}
-		ss.checkExpr(t.X, held)
-		return isPanicCall(t.X)
-
-	case *ast.DeferStmt:
-		// Unlike locksend, a deferred unlock leaves the mutex held for
-		// the remainder of the function — that is the safe pattern here.
-		// Other deferred calls run after this scan's critical sections;
-		// their bodies (function literals) get their own scan.
-		if mu, isLock, _ := lockCall(ss.pass, t.Call); mu == "" || isLock {
-			for _, arg := range t.Call.Args {
-				ss.checkExpr(arg, held)
-			}
-		}
-		return false
-
-	case *ast.SendStmt:
-		ss.checkExpr(t.Chan, held)
-		ss.checkExpr(t.Value, held)
-		return false
-
-	case *ast.IncDecStmt:
-		ss.checkExpr(t.X, held)
-		return false
-
-	case *ast.GoStmt:
-		// The goroutine body is scanned separately with nothing held;
-		// only argument expressions evaluate here.
-		for _, arg := range t.Call.Args {
-			ss.checkExpr(arg, held)
-		}
-		return false
-
-	case *ast.AssignStmt:
-		for _, lhs := range t.Lhs {
-			ss.checkExpr(lhs, held)
-		}
-		for _, rhs := range t.Rhs {
-			ss.checkExpr(rhs, held)
-		}
-		return false
-
-	case *ast.ReturnStmt:
-		for _, r := range t.Results {
-			ss.checkExpr(r, held)
-		}
-		return true
-
-	case *ast.BranchStmt:
-		return true
-
-	case *ast.IfStmt:
-		if t.Init != nil {
-			ss.scanStmt(t.Init, held)
-		}
-		ss.checkExpr(t.Cond, held)
-		thenHeld := copyHeld(held)
-		thenTerm := ss.scanList(t.Body.List, thenHeld)
-		elseHeld := copyHeld(held)
-		elseTerm := false
-		if t.Else != nil {
-			elseTerm = ss.scanStmt(t.Else, elseHeld)
-		}
-		var arms []map[string]bool
-		if !thenTerm {
-			arms = append(arms, thenHeld)
-		}
-		if !elseTerm {
-			arms = append(arms, elseHeld)
-		}
-		if len(arms) == 0 {
-			return true
-		}
-		reconcile(held, arms...)
-		return false
-
-	case *ast.BlockStmt:
-		return ss.scanList(t.List, held)
-
-	case *ast.LabeledStmt:
-		return ss.scanStmt(t.Stmt, held)
-
-	case *ast.ForStmt:
-		if t.Init != nil {
-			ss.scanStmt(t.Init, held)
-		}
-		if t.Cond != nil {
-			ss.checkExpr(t.Cond, held)
-		}
-		bodyHeld := copyHeld(held)
-		if !ss.scanList(t.Body.List, bodyHeld) {
-			reconcile(held, bodyHeld)
-		}
-		return false
-
-	case *ast.RangeStmt:
-		ss.checkExpr(t.X, held)
-		bodyHeld := copyHeld(held)
-		if !ss.scanList(t.Body.List, bodyHeld) {
-			reconcile(held, bodyHeld)
-		}
-		return false
-
-	case *ast.SwitchStmt:
-		if t.Init != nil {
-			ss.scanStmt(t.Init, held)
-		}
-		if t.Tag != nil {
-			ss.checkExpr(t.Tag, held)
-		}
-		ss.scanClauses(t.Body, held)
-		return false
-
-	case *ast.TypeSwitchStmt:
-		if t.Init != nil {
-			ss.scanStmt(t.Init, held)
-		}
-		ss.scanClauses(t.Body, held)
-		return false
-
-	case *ast.SelectStmt:
-		ss.scanClauses(t.Body, held)
-		return false
-	}
-	return false
-}
-
-func (ss *shardScan) scanClauses(body *ast.BlockStmt, held map[string]bool) {
-	var arms []map[string]bool
-	for _, c := range body.List {
-		armHeld := copyHeld(held)
-		var term bool
-		switch cl := c.(type) {
-		case *ast.CaseClause:
-			for _, e := range cl.List {
-				ss.checkExpr(e, armHeld)
-			}
-			term = ss.scanList(cl.Body, armHeld)
-		case *ast.CommClause:
-			term = ss.scanList(cl.Body, armHeld)
-		default:
-			continue
-		}
-		if !term {
-			arms = append(arms, armHeld)
-		}
-	}
-	if len(arms) > 0 {
-		reconcile(held, arms...)
-	}
-}
-
-// checkExpr flags guarded-field selectors anywhere in the expression
-// whose guarding mutex is not currently held, without descending into
-// function literals (their bodies run under their own locking).
-func (ss *shardScan) checkExpr(e ast.Expr, held map[string]bool) {
-	if e == nil {
+// checkSelector flags a guarded-field selector evaluated while its
+// guarding mutex is not held.
+func (ss *shardScan) checkSelector(n ast.Node, held map[string]bool) {
+	sel, ok := n.(*ast.SelectorExpr)
+	if !ok {
 		return
 	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		sel, ok := n.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		v, ok := ss.pass.Info.Uses[sel.Sel].(*types.Var)
-		if !ok {
-			return true
-		}
-		mu, guardedField := ss.guarded[v]
-		if !guardedField {
-			return true
-		}
-		need := types.ExprString(sel.X) + "." + mu
-		if !held[need] {
-			ss.report(sel.Pos(), sel.Sel.Name, need)
-		}
-		return true
-	})
-}
-
-func (ss *shardScan) report(pos token.Pos, field, mu string) {
-	ss.pass.Reportf(pos,
-		"access to guarded field %s without holding %s; lock the shard's mutex first",
-		field, mu)
+	v, ok := ss.pass.Info.Uses[sel.Sel].(*types.Var)
+	if !ok {
+		return
+	}
+	mu, guarded := ss.guarded[v.Origin()]
+	if need := types.ExprString(sel.X) + "." + mu; guarded && !held[need] {
+		ss.pass.Reportf(sel.Pos(),
+			"access to guarded field %s without holding %s; lock the shard's mutex first",
+			sel.Sel.Name, need)
+	}
 }

@@ -24,8 +24,9 @@ func readLoopShape(e *endpointLike, from string, frame []byte) {
 	e.deliver(from, b)
 }
 
-// stageLike mimics core's decodeStage: submit takes ownership of the
-// payload for the lane sequencer, recycling immediately when closed.
+// stageLike mimics the ownership shape of core's decodeStage.submit: the
+// payload is stored for the lane sequencer (the ordered stage's job
+// store), or recycled when the stage has closed.
 type stageLike struct {
 	closed bool
 	lanes  map[string][][]byte

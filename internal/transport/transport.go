@@ -1014,6 +1014,12 @@ func (e *Endpoint) fallbackToTCP(c *outChannel, dialErr error) bool {
 	us.fallbacks[c.key.dest] = tcpDest
 	us.mu.Unlock()
 
+	// Announce the fallback before the TCP channel exists: its run
+	// goroutine dials at once, and its StatusUp must not overtake this
+	// event.
+	c.setState(StateDraining)
+	c.emit(StatusEvent{Kind: StatusFallback, To: wire.TCP, ToDest: tcpDest, Err: dialErr})
+
 	ts := e.shardFor(wire.TCP, tcpDest)
 	ts.mu.Lock()
 	if ts.closed {
@@ -1026,8 +1032,6 @@ func (e *Endpoint) fallbackToTCP(c *outChannel, dialErr error) bool {
 	tcp := e.channelLocked(ts, wire.TCP, tcpDest)
 	ts.mu.Unlock()
 
-	c.setState(StateDraining)
-	c.emit(StatusEvent{Kind: StatusFallback, To: wire.TCP, ToDest: tcpDest, Err: dialErr})
 	c.mu.Lock()
 	c.closed = true
 	c.err = ErrClosed
