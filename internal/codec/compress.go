@@ -12,16 +12,17 @@ import (
 
 // Compressor transforms payload bytes. The middleware's channel pipeline
 // applies one to every serialised message, mirroring the Snappy handler in
-// the paper's Netty pipeline. DEFLATE stands in for Snappy here (stdlib
-// only); the paper's experiments used incompressible data precisely so that
-// the choice of compressor would not matter.
+// the paper's Netty pipeline; Snappy is the default, Flate an opt-in that
+// trades CPU for ratio. The paper's experiments used incompressible data,
+// where Snappy's skip heuristic keeps the stage's cost near a copy.
 type Compressor interface {
 	// Name identifies the compressor for diagnostics.
 	Name() string
 	// Compress returns the compressed form of src.
 	Compress(src []byte) ([]byte, error)
 	// Decompress reverses Compress. The result may alias src (Noop does
-	// this); callers recycling buffers must account for aliasing.
+	// this); callers recycling buffers must account for aliasing. Snappy
+	// and Flate return a fresh buffer from bufpool that the caller owns.
 	Decompress(src []byte) ([]byte, error)
 }
 

@@ -17,7 +17,17 @@ import (
 // verify the pooled decompress readers (and encoders) are not shared
 // between in-flight calls. Run with -race to catch pool misuse.
 func TestFlateDecompressConcurrent(t *testing.T) {
-	c := NewFlate(-1)
+	checkDecompressConcurrent(t, NewFlate(-1))
+}
+
+// TestFlateCompressConcurrent does the same for the pooled encoder path,
+// interleaving Compress and Decompress.
+func TestFlateCompressConcurrent(t *testing.T) {
+	checkCompressConcurrent(t, NewFlate(-1))
+}
+
+func checkDecompressConcurrent(t *testing.T, c Compressor) {
+	t.Helper()
 	// Distinct, compressible inputs per goroutine so cross-talk between
 	// pooled readers would corrupt an output visibly.
 	inputs := make([][]byte, 8)
@@ -52,10 +62,8 @@ func TestFlateDecompressConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestFlateCompressConcurrent does the same for the pooled encoder path,
-// interleaving Compress and Decompress.
-func TestFlateCompressConcurrent(t *testing.T) {
-	c := NewFlate(-1)
+func checkCompressConcurrent(t *testing.T, c Compressor) {
+	t.Helper()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -105,48 +113,56 @@ func TestFlateDecompressReaderReuse(t *testing.T) {
 	}
 }
 
+// appendCompressors are the compressors with the in-place hot path.
+var appendCompressors = []interface {
+	Compressor
+	AppendCompressor
+}{NewFlate(-1), Snappy{}}
+
 // TestAppendCompressPlacesBytesInDst verifies the hot-path contract: the
 // compressed form lands directly after whatever dst already holds, so a
 // flag byte needs no prepend copy.
 func TestAppendCompressPlacesBytesInDst(t *testing.T) {
-	c := NewFlate(-1)
-	in := bytes.Repeat([]byte("abc"), 1000)
-	dst := make([]byte, 1, 4096)
-	dst[0] = 0xFE
-	out, err := c.AppendCompress(dst, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out[0] != 0xFE {
-		t.Fatalf("prefix byte clobbered: %#x", out[0])
-	}
-	if &out[0] != &dst[0] {
-		t.Fatal("compressed output did not reuse dst's backing array")
-	}
-	round, err := c.Decompress(out[1:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(round, in) {
-		t.Fatal("corrupted round trip through AppendCompress")
+	for _, c := range appendCompressors {
+		in := bytes.Repeat([]byte("abc"), 1000)
+		dst := make([]byte, 1, 4096)
+		dst[0] = 0xFE
+		out, err := c.AppendCompress(dst, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out[0] != 0xFE {
+			t.Fatalf("%s: prefix byte clobbered: %#x", c.Name(), out[0])
+		}
+		if &out[0] != &dst[0] {
+			t.Fatalf("%s: compressed output did not reuse dst's backing array", c.Name())
+		}
+		round, err := c.Decompress(out[1:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(round, in) {
+			t.Fatalf("%s: corrupted round trip through AppendCompress", c.Name())
+		}
 	}
 }
 
 // TestAppendCompressGrowsDst checks the incompressible case where the
 // output cannot fit dst's capacity and must reallocate like append.
 func TestAppendCompressGrowsDst(t *testing.T) {
-	c := NewFlate(-1)
 	in := make([]byte, 32<<10)
 	rand.New(rand.NewSource(7)).Read(in) // incompressible
-	out, err := c.AppendCompress(make([]byte, 0, 8), in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	round, err := c.Decompress(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(round, in) {
-		t.Fatal("corrupted round trip after dst growth")
+	for _, c := range appendCompressors {
+		out, err := c.AppendCompress(make([]byte, 0, 8), in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		round, err := c.Decompress(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(round, in) {
+			t.Fatalf("%s: corrupted round trip after dst growth", c.Name())
+		}
 	}
 }

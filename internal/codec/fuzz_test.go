@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"testing"
 	"testing/quick"
+
+	"github.com/kompics/kompicsmessaging-go/internal/bufpool"
 )
 
 // TestPropertyDecodeNeverPanicsOnGarbage feeds arbitrary bytes through
@@ -26,8 +28,12 @@ func TestPropertyDecodeNeverPanicsOnGarbage(t *testing.T) {
 		_, _ = ReadString(bytes.NewReader(b))
 		_, _ = ReadUvarint(bytes.NewReader(b))
 		_, _ = ReadVarint(bytes.NewReader(b))
-		c := NewFlate(-1)
-		_, _ = c.Decompress(b)
+		if out, err := NewFlate(-1).Decompress(b); err == nil {
+			bufpool.Put(out)
+		}
+		if out, err := (Snappy{}).Decompress(b); err == nil {
+			bufpool.Put(out)
+		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {

@@ -11,11 +11,12 @@ package core
 //	make bench-fanin
 //
 // Unlike the fan-out benchmark — whose payload is incompressible so
-// flate cannot flatter *encode* throughput — the fan-in payload is
-// compressible on purpose: an incompressible payload ships with the
+// the compressor cannot flatter *encode* throughput — the fan-in payload
+// is compressible on purpose: an incompressible payload ships with the
 // raw flag and the receiver never decompresses, which would make the
-// flate case measure nothing. What the flate rows show is whether
-// inbound decompress pipelines with socket reads, not codec ratios.
+// flate and snappy cases measure nothing (benchFaninNetwork checks the
+// payload ships flagged). What those rows show is whether inbound
+// decompress pipelines with socket reads, not codec ratios.
 // The procs=N sub-name keeps GOMAXPROCS runs distinct in
 // BENCH_fanin.json.
 
@@ -27,6 +28,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/kompics/kompicsmessaging-go/internal/bufpool"
 	"github.com/kompics/kompicsmessaging-go/internal/codec"
 	"github.com/kompics/kompicsmessaging-go/internal/kompics"
 )
@@ -56,6 +58,7 @@ func benchFaninNetwork(b *testing.B, peers int, comp func() codec.Compressor) {
 	var errs atomic.Int64
 	sem := make(chan struct{}, 64*runtime.GOMAXPROCS(0))
 	apps := make([]*fanoutSendApp, peers)
+	var sender *Network // one sender, to check how its frames ship
 	msgs := make([]*DataMsg, peers)
 	payload := faninPayload()
 	for i := 0; i < peers; i++ {
@@ -85,7 +88,18 @@ func benchFaninNetwork(b *testing.B, peers int, comp func() codec.Compressor) {
 			b.Fatal("sender network did not bind")
 		}
 		apps[i] = app
+		sender = sendDef
 		msgs[i] = &DataMsg{Hdr: NewHeader(self, dest, TCP), Payload: payload}
+	}
+	if _, raw := sender.cfg.Compressor.(codec.Noop); !raw {
+		wire, err := sender.encode(msgs[0])
+		if err != nil {
+			b.Fatal(err)
+		}
+		if wire[0] != wireCompressed {
+			b.Fatal("fan-in payload ships raw: the receiver would never decompress")
+		}
+		bufpool.Put(wire)
 	}
 
 	var nextWorker, nextID atomic.Int64
@@ -132,6 +146,7 @@ func BenchmarkFaninReceiveNetwork(b *testing.B) {
 	}{
 		{"raw", func() codec.Compressor { return codec.Noop{} }},
 		{"flate", func() codec.Compressor { return codec.NewFlate(-1) }},
+		{"snappy", func() codec.Compressor { return codec.Snappy{} }},
 	} {
 		for _, procs := range fanoutProcs() {
 			b.Run(fmt.Sprintf("peers=16/comp=%s/procs=%d", tc.name, procs), func(b *testing.B) {

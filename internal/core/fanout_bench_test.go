@@ -201,6 +201,7 @@ func BenchmarkFanoutSendNetwork(b *testing.B) {
 	}{
 		{"noop", func() codec.Compressor { return codec.Noop{} }},
 		{"flate", func() codec.Compressor { return codec.NewFlate(-1) }},
+		{"snappy", func() codec.Compressor { return codec.Snappy{} }},
 	} {
 		for _, procs := range fanoutProcs() {
 			b.Run(fmt.Sprintf("peers=16/comp=%s/procs=%d", tc.name, procs), func(b *testing.B) {

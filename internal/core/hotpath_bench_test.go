@@ -84,14 +84,22 @@ func BenchmarkWirePathEncodeFrameDecode(b *testing.B) {
 	}
 }
 
-// BenchmarkWirePathEncodeFrameDecodeFlate measures the same round trip with
-// the default-on DEFLATE stage (incompressible payload: the compressor runs
-// but its output is discarded in favour of the raw bytes, the paper's worst
-// case).
+// BenchmarkWirePathEncodeFrameDecodeFlate measures the same round trip
+// through each compression stage: snappy, the default, and flate, the
+// opt-in (incompressible payload: the compressor runs but its output is
+// discarded in favour of the raw bytes, the paper's worst case).
 func BenchmarkWirePathEncodeFrameDecodeFlate(b *testing.B) {
-	for _, size := range []int{1 << 10, 64 << 10} {
-		b.Run(fmt.Sprintf("flate/%dB", size), func(b *testing.B) {
-			benchWirePath(b, codec.NewFlate(-1), size)
-		})
+	for _, tc := range []struct {
+		name string
+		comp codec.Compressor
+	}{
+		{"flate", codec.NewFlate(-1)},
+		{"snappy", codec.Snappy{}},
+	} {
+		for _, size := range []int{1 << 10, 64 << 10} {
+			b.Run(fmt.Sprintf("%s/%dB", tc.name, size), func(b *testing.B) {
+				benchWirePath(b, tc.comp, size)
+			})
+		}
 	}
 }

@@ -67,8 +67,10 @@ type NetworkConfig struct {
 	Protocols []Transport
 	// Registry supplies message serialisers (default NewRegistry()).
 	Registry *codec.Registry
-	// Compressor wraps wire payloads (default flate, mirroring the
-	// paper's default-on Snappy handler). Use codec.Noop to disable.
+	// Compressor wraps wire payloads (default codec.Snappy, the paper's
+	// default-on Snappy handler). A frame ships compressed only when that
+	// saves more than an eighth of it. codec.NewFlate trades CPU for
+	// ratio; codec.Noop disables the stage.
 	Compressor codec.Compressor
 	// UDTPortOffset is added to a destination address's port for UDT
 	// traffic, matching the listener-side convention that UDT binds at
@@ -139,6 +141,19 @@ type Network struct {
 	warnLimit *stats.LogLimiter
 }
 
+// Fire-and-forget sends (plain Msg, no NotifyReq) surface their failures
+// only through the "dropping unsendable message" warn log. A dead peer
+// under fan-out load produces one such failure per message, so the warn is
+// throttled by a stats.LogLimiter token bucket: warnBurst immediate logs,
+// refilled at warnRefillPerSec. Suppressed occurrences are counted and
+// reported on the next allowed log line, so the signal (and its magnitude)
+// survives even when the individual lines do not. The transport layer's
+// drop path throttles its own warn with the same limiter type.
+const (
+	warnBurst        = 10
+	warnRefillPerSec = 1
+)
+
 var _ kompics.Definition = (*Network)(nil)
 
 // NewNetwork validates cfg and creates the component definition; hand it
@@ -154,7 +169,7 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 		cfg.Registry = NewRegistry()
 	}
 	if cfg.Compressor == nil {
-		cfg.Compressor = codec.NewFlate(-1)
+		cfg.Compressor = codec.Snappy{}
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
@@ -396,12 +411,12 @@ func (n *Network) encode(msg Msg) ([]byte, error) {
 // compress attempts to shrink an encoded payload (raw, including its
 // leading flag byte). The compressed bytes are written in place after the
 // wireCompressed flag in a pooled buffer — no prepend copy. ok=false means
-// compression failed or did not help; ship raw.
+// compression failed or did not save enough; ship raw.
 func (n *Network) compress(raw []byte) ([]byte, bool) {
 	ac, fast := n.cfg.Compressor.(codec.AppendCompressor)
 	if !fast {
 		packed, err := n.cfg.Compressor.Compress(raw[1:])
-		if err != nil || len(packed)+1 >= len(raw) {
+		if err != nil || !worthCompressing(len(packed)+1, len(raw)) {
 			return nil, false
 		}
 		out := bufpool.Get(len(packed) + 1)
@@ -412,7 +427,7 @@ func (n *Network) compress(raw []byte) ([]byte, bool) {
 	dst := bufpool.Get(len(raw))[:1]
 	dst[0] = wireCompressed
 	out, err := ac.AppendCompress(dst, raw[1:])
-	if err != nil || len(out) >= len(raw) {
+	if err != nil || !worthCompressing(len(out), len(raw)) {
 		// Recycle whichever backing array we ended up with; if the
 		// append outgrew dst, dst's original buffer was already dropped
 		// by the compressor's internal append.
@@ -430,6 +445,13 @@ func (n *Network) compress(raw []byte) ([]byte, bool) {
 	}
 	return out, true
 }
+
+// worthCompressing is the keep rule for a compressed frame of packed bytes
+// standing in for a raw frame of raw bytes: it must save more than
+// raw/8, the test the reference Snappy framing writer applies to each
+// chunk. Shaving a few header bytes off an incompressible body would
+// otherwise buy the receiver a decompress for nothing.
+func worthCompressing(packed, raw int) bool { return packed < raw-raw/8 }
 
 // onWirePayload decodes one inbound frame inline and hands the message
 // into component context. It is the stage-less fallback kept for the
@@ -472,10 +494,11 @@ func (n *Network) decodeWire(payload []byte) (Msg, error) {
 			return nil, fmt.Errorf("core: undecompressable message: %w", err)
 		}
 		if len(raw) == 0 || len(body) == 0 || &raw[0] != &body[0] {
-			// Fresh buffer from the compressor (Flate draws from
-			// bufpool): the wire buffer can be recycled immediately and
-			// the decompressed one after decoding. A pass-through
-			// compressor aliases body instead, keeping payload live.
+			// Fresh buffer from the compressor (Snappy and Flate draw
+			// it from bufpool): the wire buffer can be recycled
+			// immediately and the decompressed one after decoding. A
+			// pass-through compressor aliases body instead, keeping
+			// payload live.
 			bufpool.Put(payload)
 			payload = raw
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"net"
@@ -8,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/kompics/kompicsmessaging-go/internal/codec"
 	"github.com/kompics/kompicsmessaging-go/internal/kompics"
 )
 
@@ -324,5 +326,60 @@ func TestEncodeSkipsUselessCompression(t *testing.T) {
 	}
 	if len(packed) >= len(raw) {
 		t.Fatal("compressed frame not smaller")
+	}
+}
+
+// plainCompressor hides its compressor's AppendCompress, so encode takes
+// the copying Compress path.
+type plainCompressor struct{ codec.Compressor }
+
+// TestEncodeKeepRuleSharedByBothPaths sends the same bodies through the
+// in-place AppendCompress path and the plain Compress path: both apply
+// the one keep rule. A random body, where compression saves only a few
+// header bytes, ships raw; zeros ship flagged; both decode back.
+func TestEncodeKeepRuleSharedByBothPaths(t *testing.T) {
+	random := make([]byte, 32<<10)
+	rand.New(rand.NewSource(5)).Read(random)
+	for _, comp := range []codec.Compressor{codec.Snappy{}, plainCompressor{codec.Snappy{}}} {
+		_, fast := comp.(codec.AppendCompressor)
+		n, err := NewNetwork(NetworkConfig{Self: MustParseAddress("10.0.0.1:1000"), Compressor: comp})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			name    string
+			body    []byte
+			flagged bool
+		}{
+			{"header-only saving", random, false},
+			{"zeros", make([]byte, 32<<10), true},
+		} {
+			msg := &DataMsg{Hdr: NewHeader(MustParseAddress("10.0.0.1:1000"), MustParseAddress("9.9.9.9:9"), TCP), Payload: tc.body}
+			wire, err := n.encode(msg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := wire[0] == wireCompressed; got != tc.flagged {
+				t.Errorf("fast=%v %s: shipped compressed=%v, want %v", fast, tc.name, got, tc.flagged)
+			}
+			if !tc.flagged && wire[0] == wireRaw {
+				// The saving the rule turned down must be real, or the
+				// case shows nothing.
+				if p, _ := comp.Compress(wire[1:]); len(p)+1 >= len(wire) {
+					t.Fatalf("%s: compression saves nothing (%d of %d bytes)", tc.name, len(p)+1, len(wire))
+				}
+			}
+			got, err := n.decodeWire(wire)
+			if err != nil {
+				t.Fatalf("fast=%v %s: %v", fast, tc.name, err)
+			}
+			if !bytes.Equal(got.(*DataMsg).Payload, tc.body) {
+				t.Fatalf("fast=%v %s: corrupted round trip", fast, tc.name)
+			}
+		}
+	}
+	// The rule itself: a frame must save more than an eighth of its size.
+	if worthCompressing(7, 8) || !worthCompressing(6, 8) || worthCompressing(900, 1024) || !worthCompressing(895, 1024) {
+		t.Fatal("keep rule does not demand a saving above 1/8")
 	}
 }
